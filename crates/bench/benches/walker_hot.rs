@@ -4,9 +4,10 @@
 //! asynchronous traces (A1/A2) whose long-running branches drive the
 //! `integrate` scan and its `raw_pos_of` memo.
 //!
-//! The shipped defaults — `TRACKER_FANOUT` and `WalkerOpts::cursor_cache`
-//! — were chosen from this bench; re-run it after changing the tracker's
-//! data layout:
+//! The shipped defaults — `TRACKER_FANOUT` and the tracker's cursor cache
+//! (on in `Tracker::new`; the uncached reference mode is
+//! `Tracker::with_caches`) — were chosen from this bench; re-run it after
+//! changing the tracker's data layout:
 //!
 //! ```text
 //! EG_SCALE=0.02 cargo bench -p eg-bench --bench walker_hot
@@ -14,8 +15,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eg_trace::{generate, spec_by_name};
-use egwalker::walker::{transformed_ops_with_fanout, WalkerOpts};
-use egwalker::OpLog;
+use egwalker::walker::{transformed_ops, WalkerOpts};
+use egwalker::{OpLog, Tracker};
 
 fn scale() -> f64 {
     std::env::var("EG_SCALE")
@@ -38,8 +39,16 @@ fn concurrent_traces() -> Vec<(String, OpLog)> {
     traces(&["C1", "C2"])
 }
 
-fn merge_with_fanout<const N: usize>(oplog: &OpLog, opts: WalkerOpts) -> usize {
-    let (_, ops) = transformed_ops_with_fanout::<N>(oplog, &[], oplog.version(), opts);
+/// A full merge of `oplog` through a fresh `tracker` (its fanout and cache
+/// switches are the variable under test).
+fn merge_with<const N: usize>(oplog: &OpLog, mut tracker: Tracker<N>) -> usize {
+    let (_, ops) = transformed_ops(
+        oplog,
+        &[],
+        oplog.version(),
+        WalkerOpts::default(),
+        &mut tracker,
+    );
     ops.len()
 }
 
@@ -48,18 +57,17 @@ fn bench_fanout(c: &mut Criterion) {
     let mut group = c.benchmark_group("walker_hot/fanout");
     group.sample_size(10);
     for (name, oplog) in &traces {
-        let opts = WalkerOpts::default();
         group.bench_with_input(BenchmarkId::new(name, 8), oplog, |b, o| {
-            b.iter(|| merge_with_fanout::<8>(o, opts))
+            b.iter(|| merge_with(o, Tracker::<8>::default()))
         });
         group.bench_with_input(BenchmarkId::new(name, 16), oplog, |b, o| {
-            b.iter(|| merge_with_fanout::<16>(o, opts))
+            b.iter(|| merge_with(o, Tracker::<16>::default()))
         });
         group.bench_with_input(BenchmarkId::new(name, 32), oplog, |b, o| {
-            b.iter(|| merge_with_fanout::<32>(o, opts))
+            b.iter(|| merge_with(o, Tracker::<32>::default()))
         });
         group.bench_with_input(BenchmarkId::new(name, 64), oplog, |b, o| {
-            b.iter(|| merge_with_fanout::<64>(o, opts))
+            b.iter(|| merge_with(o, Tracker::<64>::default()))
         });
     }
     group.finish();
@@ -71,16 +79,9 @@ fn bench_cursor_cache(c: &mut Criterion) {
     group.sample_size(10);
     for (name, oplog) in &traces {
         for cache in [true, false] {
-            let opts = WalkerOpts {
-                cursor_cache: cache,
-                ..Default::default()
-            };
             let label = if cache { "on" } else { "off" };
             group.bench_with_input(BenchmarkId::new(name, label), oplog, |b, o| {
-                b.iter(|| {
-                    let (_, ops) = egwalker::walker::transformed_ops(o, &[], o.version(), opts);
-                    ops.len()
-                })
+                b.iter(|| merge_with(o, Tracker::with_caches(cache, true)))
             });
         }
     }
@@ -98,20 +99,13 @@ fn bench_scan_heavy(c: &mut Criterion) {
     group.sample_size(10);
     for (name, oplog) in &traces {
         for emit_cache in [true, false] {
-            let opts = WalkerOpts {
-                emit_cache,
-                ..Default::default()
-            };
             let label = if emit_cache {
                 "emit_cache_on"
             } else {
                 "emit_cache_off"
             };
             group.bench_with_input(BenchmarkId::new(name, label), oplog, |b, o| {
-                b.iter(|| {
-                    let (_, ops) = egwalker::walker::transformed_ops(o, &[], o.version(), opts);
-                    ops.len()
-                })
+                b.iter(|| merge_with(o, Tracker::with_caches(true, emit_cache)))
             });
         }
     }

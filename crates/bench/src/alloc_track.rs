@@ -14,9 +14,15 @@
 //! #[global_allocator]
 //! static ALLOC: eg_bench::alloc_track::TrackingAlloc = eg_bench::alloc_track::TrackingAlloc;
 //! ```
+//!
+//! The counters are process-wide, so a measurement sees the allocations
+//! its code makes on worker threads — and those of anything else running
+//! in the process. Test binaries that run several counting tests at once
+//! serialise them with [`measure_lock`].
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 static CURRENT: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
@@ -72,6 +78,23 @@ unsafe impl GlobalAlloc for TrackingAlloc {
         }
         p
     }
+}
+
+static MEASURE_LOCK: Mutex<()> = Mutex::new(());
+
+/// Takes the process-wide measurement lock.
+///
+/// The counters cannot tell one thread's allocations from another's (a
+/// thread-local count would miss the worker threads a server test has to
+/// include), so two measurements open at once would each count the
+/// other's work. A counting test holds this lock across everything it
+/// allocates — its setup and its measured regions — so no other counting
+/// test allocates while one of its regions is open. A test that panics
+/// while holding the lock does not poison it for the rest.
+pub fn measure_lock() -> MutexGuard<'static, ()> {
+    MEASURE_LOCK
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Live heap bytes right now.

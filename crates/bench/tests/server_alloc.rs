@@ -3,12 +3,13 @@
 //!
 //! The whole test binary runs under the counting [`TrackingAlloc`] — the
 //! counters are global atomics, so allocations made *on the worker
-//! threads* are included. After a warm-up round (channel buffers, slab
-//! arenas, session-name cache, rope chunks), each further round of the
-//! same fleet script through the same host must stay within a small
-//! per-op allocation budget, and the budget must not grow from round to
-//! round: batch vectors recycle, trackers are reused per document, and
-//! the edit path formats no strings.
+//! threads* are included (and the test holds [`measure_lock`] so that no
+//! other counting test's allocations are). After a warm-up round (channel
+//! buffers, slab arenas, session-name cache, rope chunks), each further
+//! round of the same fleet script through the same host must stay within
+//! a small per-op allocation budget, and the budget must not grow from
+//! round to round: batch vectors recycle, trackers are reused per
+//! document, and the edit path formats no strings.
 //!
 //! The per-op budget is NOT zero: every fleet edit is its own merge, and
 //! a merge through a reused tracker has a small fixed overhead (tip
@@ -18,7 +19,7 @@
 //! conflict machinery; what this test guards is the *pool* adding per-op
 //! allocations (un-recycled batches, per-op boxing, name formatting).
 
-use eg_bench::alloc_track::{alloc_calls, TrackingAlloc};
+use eg_bench::alloc_track::{alloc_calls, measure_lock, TrackingAlloc};
 use eg_server::{ServerConfig, ServerHost};
 use eg_trace::{fleet_workload, FleetOp, FleetSpec};
 use std::sync::Arc;
@@ -59,6 +60,7 @@ fn steady_state_allocs_per_op(workers: usize) -> Vec<f64> {
 
 #[test]
 fn worker_pool_steady_state_allocs_per_op_stay_bounded() {
+    let _lock = measure_lock();
     for workers in [1, 4] {
         let rounds = steady_state_allocs_per_op(workers);
         eprintln!("workers={workers}: allocs/op per round = {rounds:?}");

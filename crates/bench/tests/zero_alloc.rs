@@ -5,9 +5,11 @@
 //!
 //! The whole test binary runs under the counting [`TrackingAlloc`], so the
 //! numbers include every allocation the pipeline makes (walker plan,
-//! tracker, rope, arena slices).
+//! tracker, rope, arena slices). The counter is process-wide, so every
+//! test holds [`measure_lock`] for its whole body: the tests run one at a
+//! time and none counts another's allocations.
 
-use eg_bench::alloc_track::{alloc_calls, TrackingAlloc};
+use eg_bench::alloc_track::{alloc_calls, measure_lock, TrackingAlloc};
 use eg_dag::Frontier;
 use eg_rle::HasLength;
 use egwalker::testgen::SmallRng;
@@ -54,12 +56,13 @@ fn transform_allocs(oplog: &OpLog, from: &[usize]) -> usize {
     let (base, spans) = oplog.graph.conflict_window(from, &target);
     let before = alloc_calls();
     let mut sum = 0usize;
-    walker::walk(
+    walker::walk_reusing(
         oplog,
         &base,
         &spans,
         &diff.only_b,
         WalkerOpts::default(),
+        &mut Tracker::new(),
         &mut |lvs, op| {
             // Touch the borrowed content so the slice is really served.
             sum += lvs.len() + op.pos + op.content.map_or(0, str::len);
@@ -71,6 +74,7 @@ fn transform_allocs(oplog: &OpLog, from: &[usize]) -> usize {
 
 #[test]
 fn transform_is_zero_alloc_per_op() {
+    let _lock = measure_lock();
     let mut oplog = OpLog::new();
     let agent = oplog.get_or_create_agent("solo");
     let mut rng = SmallRng::new(0x5eed);
@@ -149,6 +153,7 @@ fn append_concurrent(
 /// allocations are slab growth doublings and per-merge fixed overhead.
 #[test]
 fn concurrent_merge_allocates_sublinearly() {
+    let _lock = measure_lock();
     let mut oplog = OpLog::new();
     let agents: Vec<u32> = (0..3)
         .map(|i| oplog.get_or_create_agent(&format!("user{i}")))
@@ -181,6 +186,7 @@ fn concurrent_merge_allocates_sublinearly() {
 /// independent of how many merges have gone before.
 #[test]
 fn reused_tracker_merges_stay_below_fixed_alloc_bound() {
+    let _lock = measure_lock();
     let mut oplog = OpLog::new();
     let agents: Vec<u32> = (0..3)
         .map(|i| oplog.get_or_create_agent(&format!("peer{i}")))
@@ -191,7 +197,7 @@ fn reused_tracker_merges_stay_below_fixed_alloc_bound() {
     let mut branch = Branch::new();
     let mut tracker: Tracker = Tracker::new();
     // Warm-up: first merge pays the slab / index / scratch capacity.
-    branch.merge_reusing(&oplog, &mut tracker);
+    branch.merge_to(&oplog, oplog.version(), WalkerOpts::default(), &mut tracker);
 
     // Steady state: concurrent batches of the same magnitude, merged
     // through the reused tracker. Allocation cost must not grow over the
@@ -200,7 +206,7 @@ fn reused_tracker_merges_stay_below_fixed_alloc_bound() {
     for round in 0..6 {
         let events = append_concurrent(&mut oplog, &agents, &mut rng, 300);
         let before = alloc_calls();
-        branch.merge_reusing(&oplog, &mut tracker);
+        branch.merge_to(&oplog, oplog.version(), WalkerOpts::default(), &mut tracker);
         let allocs = alloc_calls() - before;
         eprintln!("round {round}: {allocs} allocs for {events} events");
         assert!(
@@ -217,6 +223,7 @@ fn reused_tracker_merges_stay_below_fixed_alloc_bound() {
 
 #[test]
 fn transform_and_apply_allocates_sublinearly() {
+    let _lock = measure_lock();
     let mut oplog = OpLog::new();
     let agent = oplog.get_or_create_agent("solo");
     let mut rng = SmallRng::new(0xfeed);

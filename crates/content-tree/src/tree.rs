@@ -366,6 +366,13 @@ impl<E: TreeEntry, const N: usize> LeafNode<E, N> {
     }
 }
 
+// Layout pins at the shipped fanout: node size is what every tree's slab
+// pays per slot, so a layout change fails the build here instead of
+// showing up later as a memory regression. The leaf is pinned with a
+// 48-byte entry, the size of the tracker's `CrdtSpan` record.
+const _: () = assert!(size_of::<InternalNode<DEFAULT_FANOUT>>() == 472);
+const _: () = assert!(size_of::<LeafNode<[u64; 6], DEFAULT_FANOUT>>() == 792);
+
 /// Arena occupancy counters, exposed for tests and diagnostics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArenaStats {

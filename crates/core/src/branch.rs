@@ -29,51 +29,27 @@ impl Branch {
     }
 
     /// Merges all events of the oplog into this branch (up to the oplog's
-    /// current version).
+    /// current version), with default options and a fresh tracker.
     pub fn merge(&mut self, oplog: &OpLog) {
         let tip = oplog.version().clone();
-        self.merge_to(oplog, &tip);
+        self.merge_to(oplog, &tip, WalkerOpts::default(), &mut Tracker::new());
     }
 
-    /// Merges the events of `Events(to)` into this branch.
+    /// Merges the events of `Events(to)` into this branch, replaying the
+    /// conflict window through `tracker` with the given walker options.
     ///
     /// The branch ends up at version `self.version ∪ to`; events the branch
     /// already reflects are not re-applied.
-    pub fn merge_to(&mut self, oplog: &OpLog, to: &[LV]) {
-        self.merge_with_opts(oplog, to, WalkerOpts::default());
-    }
-
-    /// [`Branch::merge_to`] with explicit walker options (used by the
-    /// benchmarks to toggle the §3.5 optimisations).
     ///
-    /// Transformed operations are applied to the rope as borrowed
-    /// [`crate::TextOpRef`]s: insert content goes straight from the
-    /// oplog's UTF-8 arena into the rope's chunks without materialising an
-    /// intermediate `String` — the merge path performs no per-op heap
+    /// The tracker is cleared but its slabs, ID index, and scratch buffers
+    /// keep their capacity, so a replica merging repeatedly (a sync daemon,
+    /// a session loop) pays the tracker's allocation cost once instead of
+    /// per merge. Transformed operations are applied to the rope as
+    /// borrowed [`crate::TextOpRef`]s: insert content goes straight from
+    /// the oplog's UTF-8 arena into the rope's chunks without materialising
+    /// an intermediate `String` — the merge path performs no per-op heap
     /// allocation.
-    pub fn merge_with_opts(&mut self, oplog: &OpLog, to: &[LV], opts: WalkerOpts) {
-        let mut tracker = Tracker::new();
-        self.merge_with_opts_reusing(oplog, to, opts, &mut tracker);
-    }
-
-    /// [`Branch::merge`] driving a caller-owned [`Tracker`]: the tracker is
-    /// reset but its slabs, ID index, and scratch buffers keep their
-    /// capacity, so a replica merging repeatedly (a sync daemon, a session
-    /// loop) pays the tracker's allocation cost once instead of per merge.
-    pub fn merge_reusing(&mut self, oplog: &OpLog, tracker: &mut Tracker) {
-        let tip = oplog.version().clone();
-        self.merge_with_opts_reusing(oplog, &tip, WalkerOpts::default(), tracker);
-    }
-
-    /// [`Branch::merge_with_opts`] with a caller-owned [`Tracker`] (see
-    /// [`Branch::merge_reusing`]).
-    pub fn merge_with_opts_reusing(
-        &mut self,
-        oplog: &OpLog,
-        to: &[LV],
-        opts: WalkerOpts,
-        tracker: &mut Tracker,
-    ) {
+    pub fn merge_to(&mut self, oplog: &OpLog, to: &[LV], opts: WalkerOpts, tracker: &mut Tracker) {
         let target = oplog.graph.version_union(&self.version, to);
         if target.as_slice() == self.version.as_slice() {
             return;
@@ -105,8 +81,9 @@ impl Branch {
         }
     }
 
-    /// Merges the oplog tip into this branch by *resuming* a restored
-    /// tracker instead of rebuilding one (the cached-load fast path).
+    /// The snapshot path of [`OpLog::open_cached`]: merges the oplog tip
+    /// into this branch by *resuming* a restored tracker instead of
+    /// rebuilding one.
     ///
     /// `tracker` must represent the document at `self.version` — i.e. it
     /// was restored from a [`TrackerSnapshot`] taken at exactly this
@@ -118,12 +95,7 @@ impl Branch {
     /// is always correct.
     ///
     /// Returns `true` if the resumed fast path was taken.
-    pub fn merge_resuming(
-        &mut self,
-        oplog: &OpLog,
-        opts: WalkerOpts,
-        tracker: &mut Tracker,
-    ) -> bool {
+    fn merge_resuming(&mut self, oplog: &OpLog, tracker: &mut Tracker) -> bool {
         let tip = oplog.version().clone();
         let target = oplog.graph.version_union(&self.version, &tip);
         if target.as_slice() == self.version.as_slice() {
@@ -132,7 +104,7 @@ impl Branch {
         let diff = oplog.graph.diff(&self.version, &target);
         debug_assert!(diff.only_a.is_empty());
         if !spans_dominate(&oplog.graph, self.version.as_slice(), &diff.only_b) {
-            self.merge_with_opts_reusing(oplog, &tip, opts, tracker);
+            self.merge_to(oplog, &tip, WalkerOpts::default(), tracker);
             return false;
         }
         let content = &mut self.content;
@@ -141,7 +113,7 @@ impl Branch {
             &self.version,
             &diff.only_b,
             &diff.only_b,
-            opts,
+            WalkerOpts::default(),
             tracker,
             &mut |_, op| {
                 op.apply_to(content);
@@ -247,7 +219,7 @@ impl OpLog {
     /// Builds the historical document at an arbitrary version.
     pub fn checkout(&self, version: &[LV]) -> Branch {
         let mut b = Branch::new();
-        b.merge_to(self, version);
+        b.merge_to(self, version, WalkerOpts::default(), &mut Tracker::new());
         b
     }
 
@@ -258,7 +230,7 @@ impl OpLog {
     /// instead of the whole history.
     ///
     /// With a snapshot whose version matches `version`, the restored
-    /// tracker is resumed over the tail ([`Branch::merge_resuming`]);
+    /// tracker is resumed over the tail ([`walker::walk_resuming`]);
     /// without one (or when tail events are concurrent with the
     /// checkpoint) a fresh conflict-window merge runs from `version`,
     /// which is still O(tail + conflict window), not O(history).
@@ -277,7 +249,7 @@ impl OpLog {
         match snapshot {
             Some(snap) => {
                 let mut tracker = Tracker::from_snapshot(snap);
-                b.merge_resuming(self, WalkerOpts::default(), &mut tracker);
+                b.merge_resuming(self, &mut tracker);
             }
             None => b.merge(self),
         }
@@ -420,7 +392,7 @@ mod tests {
 
         let mut warm = Branch::from_cached(&at.content.to_string(), checkpoint.clone());
         let mut tracker = Tracker::from_snapshot(&snap);
-        let resumed = warm.merge_resuming(&oplog, WalkerOpts::default(), &mut tracker);
+        let resumed = warm.merge_resuming(&oplog, &mut tracker);
         assert!(!resumed, "concurrent tail must take the fallback path");
         assert_eq!(warm, oplog.checkout_tip());
     }

@@ -18,7 +18,7 @@
 
 use crate::op::{ListOpKind, TextOperation};
 use crate::walker::{self, WalkerOpts};
-use crate::OpLog;
+use crate::{OpLog, Tracker};
 use eg_dag::LV;
 use eg_rle::{DTRange, HasLength};
 use eg_rope::Rope;
@@ -58,7 +58,13 @@ impl OpLog {
 
     /// [`OpLog::blame`] for the document as of an arbitrary version.
     pub fn blame_at(&self, version: &[LV]) -> Vec<AttrSpan> {
-        let (_, ops) = walker::transformed_ops(self, &[], version, WalkerOpts::default());
+        let (_, ops) = walker::transformed_ops(
+            self,
+            &[],
+            version,
+            WalkerOpts::default(),
+            &mut Tracker::new(),
+        );
         // One inserting LV per character of the evolving document.
         let mut attr: Vec<LV> = Vec::new();
         for (lvs, op) in &ops {
@@ -100,7 +106,8 @@ impl OpLog {
     /// events arrive (paper §2.4): indexes are already transformed against
     /// everything `from` knows.
     pub fn diff_versions(&self, from: &[LV], to: &[LV]) -> Vec<TextOperation> {
-        let (_, ops) = walker::transformed_ops(self, from, to, WalkerOpts::default());
+        let (_, ops) =
+            walker::transformed_ops(self, from, to, WalkerOpts::default(), &mut Tracker::new());
         ops.into_iter().map(|(_, op)| op).collect()
     }
 
@@ -152,9 +159,7 @@ pub struct Scrubber {
 impl Scrubber {
     /// Replays `oplog` and prepares for scrubbing.
     pub fn new(oplog: &OpLog) -> Self {
-        let tip = oplog.version().clone();
-        let (_, ops) = walker::transformed_ops(oplog, &[], &tip, WalkerOpts::default());
-        let ops: Vec<TextOperation> = ops.into_iter().map(|(_, op)| op).collect();
+        let ops = oplog.diff_versions(&[], oplog.version());
         let num_steps = ops.iter().map(|op| op.len).sum();
         Scrubber {
             ops,

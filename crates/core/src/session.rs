@@ -20,7 +20,7 @@
 use crate::bundle::{BundleError, EventBundle};
 use crate::cursor::{transform_selection, Selection};
 use crate::tracker::Tracker;
-use crate::{Branch, OpLog};
+use crate::{Branch, OpLog, WalkerOpts};
 use eg_dag::{AgentId, Frontier};
 use eg_rle::{DTRange, HasLength};
 
@@ -128,7 +128,9 @@ impl Session {
     /// Merges all new oplog events into the branch, reusing the session's
     /// tracker so repeated merges allocate (almost) nothing.
     fn merge_branch(&mut self) {
-        self.branch.merge_reusing(&self.oplog, &mut self.tracker);
+        let tip = self.oplog.version();
+        self.branch
+            .merge_to(&self.oplog, tip, WalkerOpts::default(), &mut self.tracker);
     }
 
     /// The current document text.

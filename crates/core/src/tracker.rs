@@ -92,6 +92,11 @@ pub struct CrdtSpan {
     pub se_deleted: bool,
 }
 
+// Layout pin: the record is the tracker's unit of memory (its leaves
+// store `TRACKER_FANOUT` of them inline), so a change to its size fails
+// the build instead of showing up later as a memory regression.
+const _: () = assert!(size_of::<CrdtSpan>() == 48);
+
 impl CrdtSpan {
     fn is_underwater(&self) -> bool {
         self.id.start >= UNDERWATER_START
@@ -468,30 +473,35 @@ enum Dir {
 
 impl<const N: usize> Default for Tracker<N> {
     fn default() -> Self {
-        Self::new()
+        Self::build(true, true)
+    }
+}
+
+impl Tracker {
+    /// Creates a cleared tracker at the shipped fanout: a single
+    /// placeholder standing for the (unknown) document at the replay base
+    /// version. Other fanouts (the `walker_hot` sweep) build through
+    /// [`Default`].
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Reference-mode hook: a new tracker with the cursor cache and the
+    /// emit-position cache switched on or off independently, fixed for the
+    /// tracker's lifetime. All four combinations produce byte-identical
+    /// output; the uncached modes exist only as the reference the
+    /// equivalence property tests and the `walker_hot` cache ablation
+    /// compare against.
+    #[doc(hidden)]
+    pub fn with_caches(cursor: bool, emit: bool) -> Self {
+        Self::build(cursor, emit)
     }
 }
 
 impl<const N: usize> Tracker<N> {
-    /// Creates a cleared tracker: a single placeholder standing for the
-    /// (unknown) document at the replay base version.
-    pub fn new() -> Self {
-        Self::new_with_cache(true)
-    }
-
-    /// [`Tracker::new`] with the cursor cache switched on or off (the
-    /// emit-position cache stays on). The two modes produce byte-identical
-    /// output; disabling exists for the equivalence property tests and the
-    /// cache ablation benchmark.
-    pub fn new_with_cache(cache_enabled: bool) -> Self {
-        Self::new_with_caches(cache_enabled, true)
-    }
-
-    /// [`Tracker::new`] with both the cursor cache and the emit-position
-    /// cache switched on or off independently. All four combinations
-    /// produce byte-identical output; disabling exists for the equivalence
-    /// property tests and ablation benchmarks.
-    pub fn new_with_caches(cache_enabled: bool, emit_cache_enabled: bool) -> Self {
+    /// The constructor behind [`Tracker::new`], [`Tracker::with_caches`]
+    /// and [`Default`].
+    fn build(cache_enabled: bool, emit_cache_enabled: bool) -> Self {
         let mut t = Tracker {
             tree: ContentTree::new(),
             ins_loc: IdIndex::default(),
@@ -516,7 +526,8 @@ impl<const N: usize> Tracker<N> {
     /// place, the dense indexes keep their vectors, and the scratch buffers
     /// keep their capacity — so the rebuild after a critical-version clear
     /// (or the next merge on a reused tracker) costs zero allocator calls
-    /// until the state outgrows its previous high-water mark.
+    /// until the state outgrows its previous high-water mark. The cache
+    /// switches the tracker was built with are kept.
     pub fn clear(&mut self) {
         self.tree.clear();
         self.ins_loc.clear();
@@ -526,16 +537,6 @@ impl<const N: usize> Tracker<N> {
         self.cache.set(None);
         self.emit_cache.set(None);
         self.install_placeholder();
-    }
-
-    /// [`Tracker::clear`] plus cache-switch reconfiguration: resets the
-    /// tracker for a fresh walk while retaining every allocation. This is
-    /// the entry point for reusing one tracker across merge windows (see
-    /// `walker::walk_reusing`).
-    pub fn reset_with_caches(&mut self, cache_enabled: bool, emit_cache_enabled: bool) {
-        self.cache_enabled = cache_enabled;
-        self.emit_cache_enabled = emit_cache_enabled;
-        self.clear();
     }
 
     fn install_placeholder(&mut self) {
@@ -602,16 +603,6 @@ impl<const N: usize> Tracker<N> {
     /// For untrusted input, call [`TrackerSnapshot::validate`] first —
     /// this constructor trusts the snapshot's structural invariants.
     pub fn from_snapshot(snap: &TrackerSnapshot) -> Self {
-        Self::from_snapshot_with_caches(snap, true, true)
-    }
-
-    /// [`Tracker::from_snapshot`] with explicit cache switches (the
-    /// equivalence property tests sweep them).
-    pub fn from_snapshot_with_caches(
-        snap: &TrackerSnapshot,
-        cache_enabled: bool,
-        emit_cache_enabled: bool,
-    ) -> Self {
         let mut ins_loc = IdIndex::default();
         let tree = ContentTree::from_entries(snap.records.iter().copied(), |e: &CrdtSpan, leaf| {
             ins_loc.set(e.id, leaf);
@@ -625,9 +616,9 @@ impl<const N: usize> Tracker<N> {
             ins_loc,
             del_targets,
             cache: Cell::new(None),
-            cache_enabled,
+            cache_enabled: true,
             emit_cache: Cell::new(None),
-            emit_cache_enabled,
+            emit_cache_enabled: true,
             integrate_memo: HashMap::new(),
             prepare_scratch: Vec::new(),
             delete_scratch: Vec::new(),

@@ -1,17 +1,21 @@
 //! The walk driver: replays a window of the event graph through the
-//! [`Tracker`](crate::tracker::Tracker), emitting transformed operations
+//! [`Tracker`], emitting transformed operations
 //! (paper §3.2), clearing internal state at critical versions and
 //! fast-forwarding untransformed runs (§3.5), and replaying only conflict
 //! windows on merge (§3.6).
 
 use crate::op::{ListOpKind, TextOpRef, TextOperation};
-use crate::tracker::{Tracker, TRACKER_FANOUT};
+use crate::tracker::Tracker;
 use crate::OpLog;
 use eg_dag::walk::PlanOrder;
 use eg_dag::{Frontier, LV};
 use eg_rle::{DTRange, HasLength};
 
 /// Tuning knobs for the walker.
+///
+/// The tracker's lookup caches are not options: they are fixed when the
+/// [`Tracker`] is built (see [`Tracker::with_caches`] for the uncached
+/// reference mode the equivalence tests compare against).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalkerOpts {
     /// Enables the §3.5 optimisations: clearing the internal state at
@@ -23,17 +27,6 @@ pub struct WalkerOpts {
     /// non-default policies exist only for the traversal-order ablation
     /// that §4.3 describes ("as much as 8× slower").
     pub plan_order: PlanOrder,
-    /// Enables the tracker's last-used-cursor cache (on by default).
-    /// Disabling reproduces the reference (uncached) replay for the
-    /// equivalence property tests and the `walker_hot` cache ablation;
-    /// output is byte-identical either way.
-    pub cursor_cache: bool,
-    /// Enables the tracker's emit-position cache (on by default):
-    /// consecutive sequential insert runs that extend the same record
-    /// entry skip the per-op upward `offset_of` walk. Disabling reproduces
-    /// the reference (uncached) emit path for the equivalence property
-    /// tests; output is byte-identical either way.
-    pub emit_cache: bool,
 }
 
 impl Default for WalkerOpts {
@@ -41,75 +34,30 @@ impl Default for WalkerOpts {
         WalkerOpts {
             enable_clearing: true,
             plan_order: PlanOrder::SmallestFirst,
-            cursor_cache: true,
-            emit_cache: true,
         }
     }
 }
 
-/// Replays `spans` (ascending, causally closed above `base`) and calls
-/// `out(lvs, op)` with the transformed operation for every event inside
-/// `emit` (ascending subset of `spans`).
+/// Replays `spans` (ascending, causally closed above `base`) through
+/// `tracker` and calls `out(lvs, op)` with the transformed operation for
+/// every event inside `emit` (ascending subset of `spans`).
 ///
 /// Transformed operations arrive in a linear order: applying them in
 /// sequence to the document at `Events(version at emit start)` yields the
 /// merged document (the "rebase" of §3).
+///
+/// The tracker is cleared first, retaining its slab, index, scratch and
+/// plan capacity, and is left populated on return — so a long-lived
+/// replica replays thousands of windows through one tracker with
+/// near-zero allocator traffic. Its fanout `N` and cache switches are
+/// whatever it was built with.
 ///
 /// Operations are emitted as borrowed [`TextOpRef`]s — insert content is a
 /// `&str` slice of the oplog's content arena, valid only for the duration
 /// of the callback. Callers that need ownership convert with
 /// [`TextOpRef::to_owned`] (that is the only per-op allocation in the
 /// pipeline, and it is opt-in).
-pub fn walk<F>(
-    oplog: &OpLog,
-    base: &Frontier,
-    spans: &[DTRange],
-    emit: &[DTRange],
-    opts: WalkerOpts,
-    out: &mut F,
-) where
-    F: FnMut(DTRange, TextOpRef<'_>),
-{
-    walk_with_fanout::<TRACKER_FANOUT, F>(oplog, base, spans, emit, opts, out)
-}
-
-/// [`walk`] with an explicit tracker-tree fanout, for the `walker_hot`
-/// fanout sweep. Production callers use [`walk`], which fixes the fanout
-/// at [`TRACKER_FANOUT`].
-pub fn walk_with_fanout<const N: usize, F>(
-    oplog: &OpLog,
-    base: &Frontier,
-    spans: &[DTRange],
-    emit: &[DTRange],
-    opts: WalkerOpts,
-    out: &mut F,
-) where
-    F: FnMut(DTRange, TextOpRef<'_>),
-{
-    let mut tracker = Tracker::<N>::new_with_caches(opts.cursor_cache, opts.emit_cache);
-    walk_reusing_with_fanout(oplog, base, spans, emit, opts, &mut tracker, out)
-}
-
-/// [`walk`] driving a caller-owned [`Tracker`] instead of building a fresh
-/// one: the tracker is reset (retaining its slab, index, and scratch
-/// capacity) and left populated on return, so a long-lived replica can
-/// replay thousands of windows with near-zero allocator traffic.
-pub fn walk_reusing<F>(
-    oplog: &OpLog,
-    base: &Frontier,
-    spans: &[DTRange],
-    emit: &[DTRange],
-    opts: WalkerOpts,
-    tracker: &mut Tracker<TRACKER_FANOUT>,
-    out: &mut F,
-) where
-    F: FnMut(DTRange, TextOpRef<'_>),
-{
-    walk_reusing_with_fanout(oplog, base, spans, emit, opts, tracker, out)
-}
-
-/// [`walk_reusing`] with an explicit tracker-tree fanout.
-pub fn walk_reusing_with_fanout<const N: usize, F>(
+pub fn walk_reusing<const N: usize, F>(
     oplog: &OpLog,
     base: &Frontier,
     spans: &[DTRange],
@@ -137,13 +85,13 @@ pub fn walk_reusing_with_fanout<const N: usize, F>(
 /// The walk starts with the tracker considered dirty, so the §3.5
 /// fast-forward stays off until the first critical version is crossed and
 /// the state cleared; output is byte-identical to a fresh walk either way.
-pub fn walk_resuming<F>(
+pub fn walk_resuming<const N: usize, F>(
     oplog: &OpLog,
     base: &Frontier,
     spans: &[DTRange],
     emit: &[DTRange],
     opts: WalkerOpts,
-    tracker: &mut Tracker<TRACKER_FANOUT>,
+    tracker: &mut Tracker<N>,
     out: &mut F,
 ) where
     F: FnMut(DTRange, TextOpRef<'_>),
@@ -151,7 +99,7 @@ pub fn walk_resuming<F>(
     walk_driver(oplog, base, spans, emit, opts, tracker, true, out)
 }
 
-/// Shared walk loop behind [`walk_reusing_with_fanout`] (fresh tracker
+/// Shared walk loop behind [`walk_reusing`] (fresh tracker
 /// state) and [`walk_resuming`] (tracker restored at `base`).
 #[allow(clippy::too_many_arguments)]
 fn walk_driver<const N: usize, F>(
@@ -175,16 +123,14 @@ fn walk_driver<const N: usize, F>(
     // for the document at the current (prepare == effect) version. A
     // resumed tracker carries real records for the pre-`base` window, so
     // it starts dirty.
-    let mut clean = if resume {
-        false
-    } else {
-        tracker.reset_with_caches(opts.cursor_cache, opts.emit_cache);
-        true
-    };
+    let mut clean = !resume;
+    if clean {
+        tracker.clear();
+    }
 
     // Cursor into `emit` (ranges are ascending, but consumption can jump
     // between branches, so we binary search).
-    let emit_overlap = |range: DTRange| -> Option<(bool, usize)> {
+    let emit_overlap = |range: DTRange| -> (bool, usize) {
         // Returns (emit?, prefix_len) for the prefix of `range` with a
         // uniform emit flag.
         match emit.binary_search_by(|r| {
@@ -198,18 +144,20 @@ fn walk_driver<const N: usize, F>(
         }) {
             Ok(idx) => {
                 let r = emit[idx];
-                Some((true, (r.end.min(range.end)) - range.start))
+                (true, r.end.min(range.end) - range.start)
             }
             Err(idx) => {
                 let next_start = emit.get(idx).map(|r| r.start).unwrap_or(usize::MAX);
-                Some((false, (next_start.min(range.end)) - range.start))
+                (false, next_start.min(range.end) - range.start)
             }
         }
     };
 
     for step in plan.iter() {
         if !step.retreat.is_empty() || !step.advance.is_empty() {
-            debug_assert!(!clean || step_targets_are_post_clear(step.retreat));
+            // Retreating a clean tracker would touch records the clear
+            // dropped; the §3.5 invariants forbid it.
+            debug_assert!(!clean || step.retreat.is_empty());
             for r in step.retreat.iter().rev() {
                 tracker.retreat(oplog, *r);
             }
@@ -225,10 +173,8 @@ fn walk_driver<const N: usize, F>(
             // version, events whose versions are critical need no
             // transformation at all (§3.5).
             if opts.enable_clearing && clean {
-                if let Some((crit, offset)) = oplog.graph.criticals().find_with_offset(range.start)
-                {
-                    let ff_end = (crit.start + crit.len()).min(range.end);
-                    let _ = offset;
+                if let Some(crit) = oplog.graph.criticals().find(range.start) {
+                    let ff_end = crit.end.min(range.end);
                     emit_as_is(oplog, (range.start..ff_end).into(), &emit_overlap, out);
                     range.start = ff_end;
                     continue;
@@ -236,8 +182,8 @@ fn walk_driver<const N: usize, F>(
             }
 
             // Apply through the tracker, chunked on emit boundaries.
-            let (emit_flag, len) = emit_overlap(range).expect("emit ranges exhausted");
-            let chunk: DTRange = (range.start..range.start + len.min(range.len())).into();
+            let (emit_flag, len) = emit_overlap(range);
+            let chunk: DTRange = (range.start..range.start + len).into();
             tracker.apply_range(oplog, chunk, emit_flag, out);
             clean = false;
             range.start = chunk.end;
@@ -259,12 +205,12 @@ fn walk_driver<const N: usize, F>(
 fn emit_as_is<F, G>(oplog: &OpLog, range: DTRange, emit_overlap: &G, out: &mut F)
 where
     F: FnMut(DTRange, TextOpRef<'_>),
-    G: Fn(DTRange) -> Option<(bool, usize)>,
+    G: Fn(DTRange) -> (bool, usize),
 {
     let mut range = range;
     while !range.is_empty() {
-        let (emit_flag, len) = emit_overlap(range).expect("emit ranges exhausted");
-        let chunk: DTRange = (range.start..range.start + len.min(range.len())).into();
+        let (emit_flag, len) = emit_overlap(range);
+        let chunk: DTRange = (range.start..range.start + len).into();
         if emit_flag {
             for (lvs, mut run) in oplog.ops_in(chunk) {
                 // Normalise multi-unit backward deletes: deleting [s, e)
@@ -286,12 +232,6 @@ where
     }
 }
 
-/// Debug-build sanity helper: retreats with a clean tracker would touch
-/// records that no longer exist; the §3.5 invariants forbid it.
-fn step_targets_are_post_clear(retreat: &[DTRange]) -> bool {
-    retreat.is_empty()
-}
-
 /// Builds a tracker representing the document at `version`, with the
 /// prepare and effect dimensions both at exactly `version` — the state a
 /// checkpoint snapshot captures ([`Tracker::to_snapshot`]) and that
@@ -300,8 +240,8 @@ fn step_targets_are_post_clear(retreat: &[DTRange]) -> bool {
 /// Only the §3.5 conflict window (from the latest critical version at or
 /// below `version`) is replayed, not the whole history; at a critical
 /// version the window is empty and the tracker is just the placeholder.
-pub fn tracker_at(oplog: &OpLog, version: &[LV], opts: WalkerOpts) -> Tracker<TRACKER_FANOUT> {
-    let mut tracker = Tracker::new_with_caches(opts.cursor_cache, opts.emit_cache);
+pub fn tracker_at(oplog: &OpLog, version: &[LV], opts: WalkerOpts) -> Tracker {
+    let mut tracker = Tracker::new();
     if version.is_empty() {
         return tracker;
     }
@@ -360,12 +300,13 @@ pub fn events_apply_cleanly(oplog: &OpLog) -> bool {
     let spans = [DTRange::from(0..oplog.len())];
     let mut len = 0usize;
     let mut ok = true;
-    walk(
+    walk_reusing(
         oplog,
         &Frontier::root(),
         &spans,
         &spans,
         WalkerOpts::default(),
+        &mut Tracker::new(),
         &mut |_, op| {
             if !ok {
                 return;
@@ -383,46 +324,13 @@ pub fn events_apply_cleanly(oplog: &OpLog) -> bool {
 }
 
 /// Computes the transformed operations that take a document at version
-/// `from` to the version `merge_frontier ∪ from`.
+/// `from` to the version `merge_frontier ∪ from`, replaying through
+/// `tracker` (cleared first, as in [`walk_reusing`]).
 ///
 /// Returns the final version alongside the (LV range, operation) pairs in
 /// application order. This is an ownership boundary: the borrowed ops the
 /// walker emits are materialised into owned [`TextOperation`]s here.
-pub fn transformed_ops(
-    oplog: &OpLog,
-    from: &[LV],
-    merge_frontier: &[LV],
-    opts: WalkerOpts,
-) -> (Frontier, Vec<(DTRange, TextOperation)>) {
-    transformed_ops_with_fanout::<TRACKER_FANOUT>(oplog, from, merge_frontier, opts)
-}
-
-/// [`transformed_ops`] with an explicit tracker-tree fanout (see
-/// [`walk_with_fanout`]).
-pub fn transformed_ops_with_fanout<const N: usize>(
-    oplog: &OpLog,
-    from: &[LV],
-    merge_frontier: &[LV],
-    opts: WalkerOpts,
-) -> (Frontier, Vec<(DTRange, TextOperation)>) {
-    let mut tracker = Tracker::<N>::new_with_caches(opts.cursor_cache, opts.emit_cache);
-    transformed_ops_reusing_with_fanout(oplog, from, merge_frontier, opts, &mut tracker)
-}
-
-/// [`transformed_ops`] driving a caller-owned [`Tracker`] (see
-/// [`walk_reusing`]).
-pub fn transformed_ops_reusing(
-    oplog: &OpLog,
-    from: &[LV],
-    merge_frontier: &[LV],
-    opts: WalkerOpts,
-    tracker: &mut Tracker<TRACKER_FANOUT>,
-) -> (Frontier, Vec<(DTRange, TextOperation)>) {
-    transformed_ops_reusing_with_fanout(oplog, from, merge_frontier, opts, tracker)
-}
-
-/// [`transformed_ops_reusing`] with an explicit tracker-tree fanout.
-pub fn transformed_ops_reusing_with_fanout<const N: usize>(
+pub fn transformed_ops<const N: usize>(
     oplog: &OpLog,
     from: &[LV],
     merge_frontier: &[LV],
@@ -437,7 +345,7 @@ pub fn transformed_ops_reusing_with_fanout<const N: usize>(
     debug_assert!(diff.only_a.is_empty());
     let (base, spans) = oplog.graph.conflict_window(from, &target);
     let mut out = Vec::new();
-    walk_reusing_with_fanout::<N, _>(
+    walk_reusing(
         oplog,
         &base,
         &spans,

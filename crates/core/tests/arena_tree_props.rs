@@ -1,16 +1,17 @@
 //! Reused-tracker equivalence: a [`Tracker`] recycled across walk windows
-//! (via `reset_with_caches` / the `_reusing` walker entry points) must be
-//! indistinguishable from a freshly constructed one — byte-identical
-//! transformed-operation streams and byte-identical merged documents —
-//! under testgen's multi-byte UTF-8 concurrent workloads.
+//! (every walk clears the tracker it is handed) must be indistinguishable
+//! from a freshly constructed one — byte-identical transformed-operation
+//! streams and byte-identical merged documents — under testgen's
+//! multi-byte UTF-8 concurrent workloads.
 //!
 //! This is the safety net for the slab arena's capacity-retaining
 //! `clear()`: if any scrap of state survives a reset (a stale cache entry,
 //! a dirty free-list slot, a dense-index remnant), these properties break.
 
+use eg_dag::walk::PlanOrder;
 use egwalker::testgen::random_oplog;
 use egwalker::tracker::Tracker;
-use egwalker::walker::{transformed_ops, transformed_ops_reusing};
+use egwalker::walker::transformed_ops;
 use egwalker::{Branch, WalkerOpts};
 use proptest::prelude::*;
 
@@ -29,8 +30,14 @@ proptest! {
         let mut reused: Tracker = Tracker::new();
         for doc in 0..4u64 {
             let oplog = random_oplog(seed.wrapping_add(doc), steps, replicas, merge_prob);
-            let fresh = transformed_ops(&oplog, &[], oplog.version(), WalkerOpts::default());
-            let recycled = transformed_ops_reusing(
+            let fresh = transformed_ops(
+                &oplog,
+                &[],
+                oplog.version(),
+                WalkerOpts::default(),
+                &mut Tracker::new(),
+            );
+            let recycled = transformed_ops(
                 &oplog,
                 &[],
                 oplog.version(),
@@ -44,7 +51,9 @@ proptest! {
 
     /// Incremental merges through one long-lived tracker produce the same
     /// document as batch checkouts with per-merge trackers, at every
-    /// intermediate version.
+    /// intermediate version — with the walker options changing from one
+    /// merge to the next on that same tracker (clearing on/off, every
+    /// branch-ordering policy).
     #[test]
     fn incremental_reused_merges_match_batch_checkout(
         seed in 0u64..1_000_000,
@@ -53,6 +62,11 @@ proptest! {
         merge_prob in 0.1f64..0.6,
     ) {
         let oplog = random_oplog(seed, steps, replicas, merge_prob);
+        let orders = [PlanOrder::SmallestFirst, PlanOrder::LargestFirst, PlanOrder::Arrival];
+        let opts_for = |call: usize| WalkerOpts {
+            enable_clearing: call % 2 == 0,
+            plan_order: orders[call % orders.len()],
+        };
         let mut live = Branch::new();
         let mut tracker: Tracker = Tracker::new();
         // Merge in growing prefixes of the LV space: each step exercises a
@@ -60,17 +74,14 @@ proptest! {
         let n = oplog.len();
         let step = (n / 5).max(1);
         let mut upto = step.min(n);
+        let mut call = 0;
         loop {
             // LV prefixes are causally closed (append order is topological),
             // so the prefix's frontier is its dominator set.
             let all: Vec<usize> = (0..upto).collect();
             let frontier = oplog.graph.find_dominators(&all);
-            live.merge_with_opts_reusing(
-                &oplog,
-                frontier.as_slice(),
-                WalkerOpts::default(),
-                &mut tracker,
-            );
+            live.merge_to(&oplog, frontier.as_slice(), opts_for(call), &mut tracker);
+            call += 1;
             let batch = oplog.checkout(live.version.as_slice());
             prop_assert_eq!(
                 live.content.to_string(),
@@ -83,15 +94,15 @@ proptest! {
             upto = (upto + step).min(n);
         }
         // Final state matches a full tip checkout.
-        live.merge_reusing(&oplog, &mut tracker);
+        live.merge_to(&oplog, oplog.version(), opts_for(call), &mut tracker);
         let tip = oplog.checkout_tip();
         prop_assert_eq!(live.content.to_string(), tip.content.to_string());
         prop_assert_eq!(&live.version, oplog.version());
     }
 
-    /// Cache toggles interact correctly with reuse: resetting a tracker
-    /// with different cache flags than it was built with must not change
-    /// the output.
+    /// Cache switches interact correctly with reuse: for each of the four
+    /// cache combinations, one tracker built once in that mode and reused
+    /// across repeated merges emits exactly the default tracker's ops.
     #[test]
     fn reuse_across_cache_configurations(
         seed in 0u64..1_000_000,
@@ -100,16 +111,19 @@ proptest! {
         merge_prob in 0.0f64..0.5,
     ) {
         let oplog = random_oplog(seed, steps, replicas, merge_prob);
-        let expected = transformed_ops(&oplog, &[], oplog.version(), WalkerOpts::default());
-        let mut tracker: Tracker = Tracker::new_with_caches(false, false);
+        let opts = WalkerOpts::default();
+        let expected = transformed_ops(&oplog, &[], oplog.version(), opts, &mut Tracker::new());
         for (cursor_cache, emit_cache) in
             [(true, true), (false, true), (true, false), (false, false)]
         {
-            let opts = WalkerOpts { cursor_cache, emit_cache, ..Default::default() };
-            let got = transformed_ops_reusing(&oplog, &[], oplog.version(), opts, &mut tracker);
-            prop_assert_eq!(&expected.0, &got.0);
-            prop_assert_eq!(&expected.1, &got.1,
-                "op streams diverged at caches ({}, {})", cursor_cache, emit_cache);
+            let mut tracker = Tracker::with_caches(cursor_cache, emit_cache);
+            for round in 0..3 {
+                let got = transformed_ops(&oplog, &[], oplog.version(), opts, &mut tracker);
+                prop_assert_eq!(&expected.0, &got.0);
+                prop_assert_eq!(&expected.1, &got.1,
+                    "op streams diverged at caches ({}, {}), round {}",
+                    cursor_cache, emit_cache, round);
+            }
         }
     }
 }

@@ -7,7 +7,7 @@ use eg_dag::walk::PlanOrder;
 use eg_rle::HasLength;
 use egwalker::reference::replay_reference;
 use egwalker::testgen::{random_oplog, SmallRng};
-use egwalker::{Branch, EventBundle, OpLog, TextOperation, WalkerOpts};
+use egwalker::{Branch, EventBundle, OpLog, TextOperation, Tracker, WalkerOpts};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -182,10 +182,11 @@ proptest! {
         let mut texts = Vec::new();
         for order in [PlanOrder::SmallestFirst, PlanOrder::LargestFirst, PlanOrder::Arrival] {
             let mut b = Branch::new();
-            b.merge_with_opts(
+            b.merge_to(
                 &oplog,
                 oplog.version(),
-                WalkerOpts { enable_clearing: true, plan_order: order, ..Default::default() },
+                WalkerOpts { enable_clearing: true, plan_order: order },
+                &mut Tracker::new(),
             );
             texts.push(b.content.to_string());
         }
@@ -362,7 +363,13 @@ fn transformed_ops_apply_in_order() {
     // rebuild the document from the empty state.
     let oplog = random_oplog(1234, 60, 3, 0.4);
     let tip = oplog.version().clone();
-    let (_, ops) = egwalker::walker::transformed_ops(&oplog, &[], &tip, WalkerOpts::default());
+    let (_, ops) = egwalker::walker::transformed_ops(
+        &oplog,
+        &[],
+        &tip,
+        WalkerOpts::default(),
+        &mut Tracker::new(),
+    );
     let mut doc = eg_rope::Rope::new();
     for (_, op) in &ops {
         op.apply_to(&mut doc);

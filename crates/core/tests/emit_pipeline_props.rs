@@ -9,7 +9,7 @@
 //! * The tracker's emit-position cache is pure memoisation: cache-on and
 //!   cache-off replays must stay identical step by step.
 
-use eg_dag::walk::{plan_walk_with_order, PlanOrder};
+use eg_dag::walk::{PlanOrder, WalkPlan};
 use eg_rle::DTRange;
 use egwalker::reference::replay_reference;
 use egwalker::testgen::random_oplog;
@@ -26,7 +26,8 @@ fn replay_emit_cache_lockstep(oplog: &OpLog) -> Result<(), TestCaseError> {
     let target = oplog.version().clone();
     let diff = oplog.graph.diff(&[], &target);
     let (base, spans) = oplog.graph.conflict_window(&[], &target);
-    let plan = plan_walk_with_order(
+    let mut plan = WalkPlan::new();
+    plan.plan_with_order(
         &oplog.graph,
         &base,
         &spans,
@@ -34,17 +35,17 @@ fn replay_emit_cache_lockstep(oplog: &OpLog) -> Result<(), TestCaseError> {
         PlanOrder::SmallestFirst,
     );
 
-    let mut cached: Tracker = Tracker::new_with_caches(true, true);
-    let mut reference: Tracker = Tracker::new_with_caches(true, false);
+    let mut cached: Tracker = Tracker::new();
+    let mut reference: Tracker = Tracker::with_caches(true, false);
     let mut ops_cached: Vec<(DTRange, TextOperation)> = Vec::new();
     let mut ops_reference: Vec<(DTRange, TextOperation)> = Vec::new();
 
-    for step in &plan {
+    for step in plan.iter() {
         for r in step.retreat.iter().rev() {
             cached.retreat(oplog, *r);
             reference.retreat(oplog, *r);
         }
-        for r in &step.advance {
+        for r in step.advance {
             cached.advance(oplog, *r);
             reference.advance(oplog, *r);
         }
@@ -92,13 +93,15 @@ proptest! {
             &oplog,
             &[],
             oplog.version(),
-            WalkerOpts { emit_cache: true, ..Default::default() },
+            WalkerOpts::default(),
+            &mut Tracker::new(),
         );
         let off = transformed_ops(
             &oplog,
             &[],
             oplog.version(),
-            WalkerOpts { emit_cache: false, ..Default::default() },
+            WalkerOpts::default(),
+            &mut Tracker::with_caches(true, false),
         );
         prop_assert_eq!(on.0, off.0, "final versions diverged");
         prop_assert_eq!(on.1, off.1, "op streams diverged");
@@ -122,7 +125,13 @@ proptest! {
         borrowed.merge(&oplog);
 
         // Owned path: every op materialised (the seed semantics).
-        let (_, owned_ops) = transformed_ops(&oplog, &[], oplog.version(), WalkerOpts::default());
+        let (_, owned_ops) = transformed_ops(
+            &oplog,
+            &[],
+            oplog.version(),
+            WalkerOpts::default(),
+            &mut Tracker::new(),
+        );
         let mut owned = eg_rope::Rope::new();
         for (_, op) in &owned_ops {
             op.apply_to(&mut owned);

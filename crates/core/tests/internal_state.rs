@@ -158,8 +158,13 @@ fn transformed_output_of_figure_4() {
     // stays at 3.
     let oplog = figure_4_oplog();
     let tip = oplog.version().clone();
-    let (_, ops) =
-        egwalker::walker::transformed_ops(&oplog, &[], &tip, egwalker::WalkerOpts::default());
+    let (_, ops) = egwalker::walker::transformed_ops(
+        &oplog,
+        &[],
+        &tip,
+        egwalker::WalkerOpts::default(),
+        &mut Tracker::new(),
+    );
     let mut doc = eg_rope::Rope::new();
     for (_, op) in &ops {
         op.apply_to(&mut doc);

@@ -5,7 +5,7 @@
 //! invariants intact throughout. The cache is pure memoisation; any
 //! divergence is a bug in its validation rules.
 
-use eg_dag::walk::{plan_walk_with_order, PlanOrder};
+use eg_dag::walk::{PlanOrder, WalkPlan};
 use eg_rle::DTRange;
 use egwalker::testgen::random_oplog;
 use egwalker::tracker::Tracker;
@@ -20,7 +20,8 @@ fn replay_lockstep(oplog: &OpLog) -> Result<(), TestCaseError> {
     let target = oplog.version().clone();
     let diff = oplog.graph.diff(&[], &target);
     let (base, spans) = oplog.graph.conflict_window(&[], &target);
-    let plan = plan_walk_with_order(
+    let mut plan = WalkPlan::new();
+    plan.plan_with_order(
         &oplog.graph,
         &base,
         &spans,
@@ -28,8 +29,8 @@ fn replay_lockstep(oplog: &OpLog) -> Result<(), TestCaseError> {
         PlanOrder::SmallestFirst,
     );
 
-    let mut cached: Tracker = Tracker::new_with_cache(true);
-    let mut reference: Tracker = Tracker::new_with_cache(false);
+    let mut cached: Tracker = Tracker::new();
+    let mut reference: Tracker = Tracker::with_caches(false, true);
     let mut ops_cached: Vec<(DTRange, TextOperation)> = Vec::new();
     let mut ops_reference: Vec<(DTRange, TextOperation)> = Vec::new();
 
@@ -45,13 +46,13 @@ fn replay_lockstep(oplog: &OpLog) -> Result<(), TestCaseError> {
         Ok(())
     };
 
-    for step in &plan {
+    for step in plan.iter() {
         for r in step.retreat.iter().rev() {
             cached.retreat(oplog, *r);
             reference.retreat(oplog, *r);
             assert_in_sync(&cached, &reference, &ops_cached, &ops_reference)?;
         }
-        for r in &step.advance {
+        for r in step.advance {
             cached.advance(oplog, *r);
             reference.advance(oplog, *r);
             assert_in_sync(&cached, &reference, &ops_cached, &ops_reference)?;
@@ -97,13 +98,15 @@ proptest! {
             &oplog,
             &[],
             oplog.version(),
-            WalkerOpts { cursor_cache: true, ..Default::default() },
+            WalkerOpts::default(),
+            &mut Tracker::new(),
         );
         let off = transformed_ops(
             &oplog,
             &[],
             oplog.version(),
-            WalkerOpts { cursor_cache: false, ..Default::default() },
+            WalkerOpts::default(),
+            &mut Tracker::with_caches(false, true),
         );
         prop_assert_eq!(on.0, off.0, "final versions diverged");
         prop_assert_eq!(on.1, off.1, "op streams diverged");

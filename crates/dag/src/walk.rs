@@ -6,9 +6,9 @@
 //! planning passes need (node pools, CSR edges, diff scratch, the
 //! retreat/advance range pool) and recycles them across calls, so a
 //! long-lived replica re-planning on every merge performs no per-step and —
-//! once warm — no per-plan heap allocation. The convenience functions
-//! [`plan_walk`] / [`plan_walk_with_order`] wrap a throwaway [`WalkPlan`]
-//! and copy the result out into owned [`WalkStep`]s.
+//! once warm — no per-plan heap allocation. [`WalkPlan::plan_with_order`]
+//! is the one planning entry point; [`WalkPlan::to_steps`] copies a plan
+//! out into owned [`WalkStep`]s for callers that want to keep it.
 
 use crate::diff::DiffScratch;
 use crate::{Frontier, Graph, LV};
@@ -67,6 +67,10 @@ struct PlanStep {
     advance: (u32, u32),
     consume: DTRange,
 }
+
+// Layout pin: one step is two pool slices plus a range; a change to it
+// fails the build rather than silently growing every plan.
+const _: () = assert!(size_of::<PlanStep>() == 32);
 
 /// Reusable buffers for the planning passes. Every vector is cleared (not
 /// dropped) at the start of a plan, so capacity persists across plans.
@@ -164,10 +168,11 @@ impl WalkPlan {
     ///
     /// The plan visits every event of `spans` exactly once, in a
     /// topological order chosen to keep linear runs consecutive and to
-    /// visit small branches before large ones (the paper's §3.2 heuristic,
-    /// which §4.3 reports matters up to 8× on highly concurrent traces).
-    /// Between runs it emits the retreat/advance lists computed with
-    /// [`Graph::diff_with_scratch`].
+    /// visit small branches before large ones under the default `order`
+    /// (the paper's §3.2 heuristic, which §4.3 reports matters up to 8× on
+    /// highly concurrent traces; the other [`PlanOrder`]s exist for that
+    /// ablation). Between runs it emits the retreat/advance lists computed
+    /// with [`Graph::diff_with_scratch`].
     ///
     /// `new_ranges` marks the events that are *new* relative to the
     /// document being merged into. The plan applies every event outside
@@ -180,18 +185,6 @@ impl WalkPlan {
     ///
     /// `base` must be a version dominated by every event in `spans` (the
     /// conflict-window base from [`Graph::conflict_window`], or the root).
-    pub fn plan(
-        &mut self,
-        graph: &Graph,
-        base: &Frontier,
-        spans: &[DTRange],
-        new_ranges: &[DTRange],
-    ) {
-        self.plan_with_order(graph, base, spans, new_ranges, PlanOrder::SmallestFirst)
-    }
-
-    /// [`WalkPlan::plan`] with an explicit branch-ordering policy (see
-    /// [`PlanOrder`]); used by the traversal-order ablation.
     pub fn plan_with_order(
         &mut self,
         graph: &Graph,
@@ -504,37 +497,20 @@ impl WalkPlan {
     }
 }
 
-/// Plans a walk over `spans` into owned steps (see [`WalkPlan::plan`]).
-///
-/// Convenience wrapper building a throwaway [`WalkPlan`]; allocation-
-/// sensitive callers (the walker hot path) hold a reusable [`WalkPlan`]
-/// instead.
-pub fn plan_walk(
-    graph: &Graph,
-    base: &Frontier,
-    spans: &[DTRange],
-    new_ranges: &[DTRange],
-) -> Vec<WalkStep> {
-    plan_walk_with_order(graph, base, spans, new_ranges, PlanOrder::SmallestFirst)
-}
-
-/// [`plan_walk`] with an explicit branch-ordering policy (see
-/// [`PlanOrder`]); used by the traversal-order ablation.
-pub fn plan_walk_with_order(
-    graph: &Graph,
-    base: &Frontier,
-    spans: &[DTRange],
-    new_ranges: &[DTRange],
-    order: PlanOrder,
-) -> Vec<WalkStep> {
-    let mut plan = WalkPlan::new();
-    plan.plan_with_order(graph, base, spans, new_ranges, order);
-    plan.to_steps()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn plan_steps(
+        graph: &Graph,
+        base: &Frontier,
+        spans: &[DTRange],
+        new_ranges: &[DTRange],
+    ) -> Vec<WalkStep> {
+        let mut plan = WalkPlan::new();
+        plan.plan_with_order(graph, base, spans, new_ranges, PlanOrder::SmallestFirst);
+        plan.to_steps()
+    }
 
     /// The paper's Figure 4 example, §3.2: the plan must retreat e3/e4
     /// before the concurrent branch and advance them again before the merge.
@@ -546,7 +522,7 @@ mod tests {
         g.push(&[1], (4..7).into()); // e5 e6 e7
         g.push(&[3, 6], (7..8).into()); // e8
         let all = [(0..8).into()];
-        let steps = plan_walk(&g, &Frontier::root(), &all, &all);
+        let steps = plan_steps(&g, &Frontier::root(), &all, &all);
         assert_eq!(
             steps,
             vec![
@@ -574,7 +550,7 @@ mod tests {
         let mut g = Graph::new();
         g.push(&[], (0..100).into());
         let all = [(0..100).into()];
-        let steps = plan_walk(&g, &Frontier::root(), &all, &all);
+        let steps = plan_steps(&g, &Frontier::root(), &all, &all);
         assert_eq!(
             steps,
             vec![WalkStep {
@@ -593,7 +569,7 @@ mod tests {
         g.push(&[4], (8..10).into()); // branch b
                                       // Window: just the two branches, base at {4}; everything new.
         let spans = [(5..10).into()];
-        let steps = plan_walk(&g, &Frontier::new_1(4), &spans, &spans);
+        let steps = plan_steps(&g, &Frontier::new_1(4), &spans, &spans);
         // Small branch (8..10, 2 events) visited before the big one (5..8).
         assert_eq!(steps.len(), 2);
         assert_eq!(steps[0].consume, (8..10).into());
@@ -612,7 +588,7 @@ mod tests {
         g.push(&[4], (5..11).into()); // old branch (6 events, larger)
         g.push(&[4], (11..12).into()); // new branch (1 event, smaller)
         let spans = [(5..12).into()];
-        let steps = plan_walk(&g, &Frontier::new_1(4), &spans, &[(11..12).into()]);
+        let steps = plan_steps(&g, &Frontier::new_1(4), &spans, &[(11..12).into()]);
         assert_eq!(steps[0].consume, (5..11).into());
         assert_eq!(steps[1].consume, (11..12).into());
     }
@@ -626,7 +602,7 @@ mod tests {
         g.push(&[3], (4..8).into()); // old prefix 4..6, new suffix 6..8
         g.push(&[3], (8..10).into()); // old concurrent branch
         let spans = [(0..10).into()];
-        let steps = plan_walk(&g, &Frontier::root(), &spans, &[(6..8).into()]);
+        let steps = plan_steps(&g, &Frontier::root(), &spans, &[(6..8).into()]);
         // The new range 6..8 must come after the old branch 8..10.
         let order: Vec<DTRange> = steps.iter().map(|s| s.consume).collect();
         let pos_new = order.iter().position(|r| r.contains(6)).unwrap();
@@ -641,7 +617,7 @@ mod tests {
         g.push(&[2], (6..8).into()); // forks off the middle of the run
         g.push(&[5, 7], (8..9).into());
         let spans = [(0..9).into()];
-        let steps = plan_walk(&g, &Frontier::root(), &spans, &spans);
+        let steps = plan_steps(&g, &Frontier::root(), &spans, &spans);
         let total: usize = steps.iter().map(|s| s.consume.len()).sum();
         assert_eq!(total, 9);
         assert!(steps
@@ -652,7 +628,7 @@ mod tests {
     #[test]
     fn empty_plan() {
         let g = Graph::new();
-        assert!(plan_walk(&g, &Frontier::root(), &[], &[]).is_empty());
+        assert!(plan_steps(&g, &Frontier::root(), &[], &[]).is_empty());
     }
 
     #[test]
@@ -664,7 +640,7 @@ mod tests {
         g.push(&[4, 5], (6..7).into());
         g.push(&[2, 6], (7..10).into());
         let spans = [(0..10).into()];
-        let steps = plan_walk(&g, &Frontier::root(), &spans, &[(4..7).into()]);
+        let steps = plan_steps(&g, &Frontier::root(), &spans, &[(4..7).into()]);
         let mut seen = [false; 10];
         for s in &steps {
             for lv in s.consume.iter() {
@@ -688,9 +664,16 @@ mod tests {
         let spans = [(0..10).into()];
         let mut plan = WalkPlan::new();
         // Warm the buffers on a different window first.
-        plan.plan(&g, &Frontier::root(), &[(0..5).into()], &[(0..5).into()]);
-        plan.plan(&g, &Frontier::root(), &spans, &[(4..7).into()]);
-        let fresh = plan_walk(&g, &Frontier::root(), &spans, &[(4..7).into()]);
+        let order = PlanOrder::SmallestFirst;
+        plan.plan_with_order(
+            &g,
+            &Frontier::root(),
+            &[(0..5).into()],
+            &[(0..5).into()],
+            order,
+        );
+        plan.plan_with_order(&g, &Frontier::root(), &spans, &[(4..7).into()], order);
+        let fresh = plan_steps(&g, &Frontier::root(), &spans, &[(4..7).into()]);
         assert_eq!(plan.to_steps(), fresh);
         assert_eq!(plan.len(), fresh.len());
         for (i, (r, o)) in plan.iter().zip(&fresh).enumerate() {

@@ -140,7 +140,9 @@ proptest! {
         let a = pick_frontier(&naive, s1);
         let full = graph.frontier().clone();
         let (base, spans) = graph.conflict_window(&a, &full);
-        let plan = eg_dag::walk::plan_walk(&graph, &base, &spans, &spans);
+        let mut walk_plan = eg_dag::walk::WalkPlan::new();
+        walk_plan.plan_with_order(&graph, &base, &spans, &spans, Default::default());
+        let plan = walk_plan.to_steps();
 
         let expected_total: usize = spans.iter().map(|r| r.len()).sum();
         let total: usize = plan.iter().map(|s| s.consume.len()).sum();

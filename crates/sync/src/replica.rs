@@ -11,7 +11,7 @@
 
 use eg_dag::RemoteId;
 use eg_rle::HasLength;
-use egwalker::{Branch, BundleError, EventBundle, Frontier, OpLog, Tracker};
+use egwalker::{Branch, BundleError, EventBundle, Frontier, OpLog, Tracker, WalkerOpts};
 use std::collections::BTreeMap;
 
 /// Identifies one document in a replica's shard space.
@@ -91,7 +91,9 @@ impl DocState {
     }
 
     fn merge(&mut self) {
-        self.branch.merge_reusing(&self.oplog, &mut self.tracker);
+        let tip = self.oplog.version();
+        self.branch
+            .merge_to(&self.oplog, tip, WalkerOpts::default(), &mut self.tracker);
     }
 }
 

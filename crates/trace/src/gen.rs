@@ -5,11 +5,17 @@
 //! Positions are always generated against a simulated author's live
 //! document, maintained with real Eg-walker merges — so every event is
 //! valid in its parent version, exactly as in a recorded trace.
+//!
+//! Every merge builds a fresh [`Tracker`]. One reused tracker yields the
+//! same events, but glibc raises its adaptive mmap and trim thresholds
+//! only when large buffers are freed, so reuse leaves them low, and a
+//! program that goes on to load the generated documents then page-faults
+//! its heap on every load.
 
 use crate::spec::{TraceKind, TraceSpec};
 use eg_dag::Frontier;
 use egwalker::testgen::SmallRng;
-use egwalker::{Branch, OpLog};
+use egwalker::{Branch, OpLog, Tracker, WalkerOpts};
 
 /// One simulated author: a version, the document at it, and a cursor.
 struct Author {
@@ -196,7 +202,7 @@ fn gen_concurrent(spec: &TraceSpec) -> OpLog {
         }
         // Deliver: both sides receive each other's burst.
         for tip in tips {
-            shared.merge_to(&oplog, &tip);
+            shared.merge_to(&oplog, &tip, WalkerOpts::default(), &mut Tracker::new());
         }
     }
     oplog
@@ -232,7 +238,12 @@ fn gen_async(spec: &TraceSpec) -> OpLog {
             24,
             10,
         );
-        trunk.merge_to(&oplog, &author.frontier);
+        trunk.merge_to(
+            &oplog,
+            &author.frontier,
+            WalkerOpts::default(),
+            &mut Tracker::new(),
+        );
     }
     let mut branches: Vec<Branch> = vec![trunk];
     let mut emitted = oplog.len();
@@ -251,7 +262,7 @@ fn gen_async(spec: &TraceSpec) -> OpLog {
                 b = (b + 1) % branches.len();
             }
             let tip = branches[b].version.clone();
-            branches[a].merge_to(&oplog, &tip);
+            branches[a].merge_to(&oplog, &tip, WalkerOpts::default(), &mut Tracker::new());
             branches.remove(b);
             continue;
         }
@@ -278,13 +289,13 @@ fn gen_async(spec: &TraceSpec) -> OpLog {
             12,
         );
         let tip = author.frontier.clone();
-        branch.merge_to(&oplog, &tip);
+        branch.merge_to(&oplog, &tip, WalkerOpts::default(), &mut Tracker::new());
     }
     // Merge everything at the end (the paper's traces end merged).
     let mut final_branch = branches.pop().unwrap();
     for b in branches {
         let tip = b.version.clone();
-        final_branch.merge_to(&oplog, &tip);
+        final_branch.merge_to(&oplog, &tip, WalkerOpts::default(), &mut Tracker::new());
     }
     // Record the final merge event so the graph frontier is a single
     // version, as in the real traces.

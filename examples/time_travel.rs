@@ -5,6 +5,7 @@
 //! Run with: `cargo run --example time_travel`
 
 use eg_walker_suite::core_crate::walker::{transformed_ops, WalkerOpts};
+use eg_walker_suite::core_crate::Tracker;
 use eg_walker_suite::OpLog;
 
 fn main() {
@@ -26,7 +27,13 @@ fn main() {
 
     // Diff between two versions: the transformed operations that take the
     // v2 document to the v3 document.
-    let (_, ops) = transformed_ops(&oplog, &[v2], &[v3], WalkerOpts::default());
+    let (_, ops) = transformed_ops(
+        &oplog,
+        &[v2],
+        &[v3],
+        WalkerOpts::default(),
+        &mut Tracker::new(),
+    );
     println!("changes from v2 to v3:");
     for (lvs, op) in ops {
         println!("  events {:?}: {:?}", lvs, op);
